@@ -10,7 +10,9 @@
 // can sit at the end of a Makefile pipe without hiding the readable
 // report. -max-allocs takes comma-separated name=budget pairs (names
 // without the -GOMAXPROCS suffix); a named benchmark that is missing
-// from the input or exceeds its budget fails the run.
+// from the input or exceeds its budget fails the run. The suffix
+// stripped is this process's GOMAXPROCS, which is the benchmark run's
+// when both read the same environment on the same machine.
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -49,12 +52,13 @@ func main() {
 	}
 
 	report := benchReport{Unit: "ns/op, B/op, allocs/op", Benchmarks: []benchResult{}}
+	procs := runtime.GOMAXPROCS(0)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // passthrough: keep the readable report
-		if r, ok := parseBenchLine(line); ok {
+		if r, ok := parseBenchLine(line, procs); ok {
 			report.Benchmarks = append(report.Benchmarks, r)
 		}
 	}
@@ -108,10 +112,11 @@ func parseBudgets(spec string) (map[string]int64, error) {
 	return budgets, nil
 }
 
-// parseBenchLine parses one `go test -bench` result line:
+// parseBenchLine parses one `go test -bench` result line of a run at
+// GOMAXPROCS procs:
 //
 //	BenchmarkWirePath/tcp-8   1234   43210 ns/op   6409 B/op   14 allocs/op
-func parseBenchLine(line string) (benchResult, bool) {
+func parseBenchLine(line string, procs int) (benchResult, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 		return benchResult{}, false
@@ -120,7 +125,7 @@ func parseBenchLine(line string) (benchResult, bool) {
 	if err != nil {
 		return benchResult{}, false
 	}
-	r := benchResult{Name: trimProcs(f[0]), Iterations: iters, BytesPerOp: -1, AllocsPerOp: -1}
+	r := benchResult{Name: trimProcs(f[0], procs), Iterations: iters, BytesPerOp: -1, AllocsPerOp: -1}
 	for i := 2; i+1 < len(f); i += 2 {
 		switch f[i+1] {
 		case "ns/op":
@@ -135,16 +140,14 @@ func parseBenchLine(line string) (benchResult, bool) {
 }
 
 // trimProcs drops the -GOMAXPROCS suffix go test appends to each
-// benchmark name.
-func trimProcs(name string) string {
-	i := strings.LastIndexByte(name, '-')
-	if i < 0 {
+// benchmark name. At GOMAXPROCS 1 go test appends none, and any other
+// numeric suffix is part of the name (BenchmarkX/shards-2), so only
+// "-procs" is stripped.
+func trimProcs(name string, procs int) string {
+	if procs == 1 {
 		return name
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
-	}
-	return name[:i]
+	return strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 }
 
 // gate enforces the allocs/op budgets. Every named benchmark must be

@@ -27,8 +27,6 @@
 // (internal/cascade), the MILP solver (internal/milp), the resource
 // allocator (internal/allocator), the discrete-event system simulator
 // (internal/system), and the cluster runtime (internal/cluster).
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-versus-measured results.
 //
 // # Cluster transports
 //

@@ -202,7 +202,7 @@ func TestLBServerShedsExpired(t *testing.T) {
 	}()
 	// Wait past the deadline in trace time, then pull: the item must
 	// be shed, not served.
-	time.Sleep(5 * time.Millisecond) // 5 trace seconds at 0.001 scale
+	time.Sleep(50 * time.Millisecond) // 5 trace seconds at 0.001 scale
 	var pulled PullResponse
 	if err := postJSON(client, srv.URL+"/pull", PullRequest{Role: "light", Max: 4}, &pulled); err != nil {
 		t.Fatal(err)
@@ -307,6 +307,62 @@ func TestHarnessValidation(t *testing.T) {
 		mod(&bad)
 		if _, err := Run(bad); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+}
+
+// slowAlloc answers every control tick with one fixed plan after a
+// fixed wall-clock solve time.
+type slowAlloc struct{ plan allocator.Plan }
+
+func (slowAlloc) Name() string { return "slow" }
+
+func (a slowAlloc) Allocate(allocator.Observation) (allocator.Plan, error) {
+	time.Sleep(50 * time.Millisecond)
+	return a.plan, nil
+}
+
+// TestRunWaitsForItsGoroutines checks, under the race detector, that
+// Run builds its Result only after every goroutine it started has
+// exited: a control tick still running when Run read the plans it
+// appends was a data race. Ticks are due every 2 ms of wall time and
+// each solve takes 50 ms, so a tick is mid-solve most of the time, and
+// one that is when a run ends appends its plan after Run has read
+// them. The test makes three short runs to make that near certain.
+func TestRunWaitsForItsGoroutines(t *testing.T) {
+	f := newFixtures(t)
+	tr, err := trace.Static(6, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	milp, err := allocator.NewMILP(allocator.Config{
+		Light: f.light, Heavy: f.heavy,
+		DiscPerImage: f.scorer.PerImageLatency(),
+		Deferral:     f.prof, TotalWorkers: 6, SLO: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := milp.Allocate(allocator.Observation{Demand: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		ctrl, err := controller.New(controller.Config{Alloc: slowAlloc{plan}, Interval: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(HarnessConfig{
+			Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
+			Mode: loadbalancer.ModeCascade, Workers: 6, SLO: 5,
+			Trace: tr, Ctrl: ctrl, Transport: TransportTCP, LBShards: 2,
+			Timescale: 0.02, Seed: seed, DisableLoadDelay: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Plans) == 0 {
+			t.Fatal("no plans applied")
 		}
 	}
 }

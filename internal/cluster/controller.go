@@ -215,11 +215,17 @@ func (c *ControllerLoop) Plans() []controller.PlanAt { return c.cfg.Ctrl.Plans()
 // plan push) runs asynchronously with at most one in flight, so solver
 // time stays off the control cadence — the paper's design: "the MILP
 // is called asynchronously and its execution is in the control path".
+// Run returns once ctx is cancelled and the tick in flight, if any,
+// has finished.
 func (c *ControllerLoop) Run(ctx context.Context) {
 	var busy int32
+	var tick sync.WaitGroup
+	defer tick.Wait()
 	for ctx.Err() == nil {
 		if atomic.CompareAndSwapInt32(&busy, 0, 1) {
+			tick.Add(1)
 			go func() {
+				defer tick.Done()
 				defer atomic.StoreInt32(&busy, 0)
 				c.TickOnce(ctx)
 			}()

@@ -255,8 +255,15 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		lbConn = frontend
 	}
 
+	// Every goroutine the run starts exits once ctx is cancelled, and
+	// the run waits for all of them before it returns: the Result reads
+	// state (the controller's plans, the collectors) they write.
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	var running sync.WaitGroup
+	defer func() {
+		cancel()
+		running.Wait()
+	}()
 
 	// Watch for fatal transport failures (a TCP peer gone for good,
 	// dial retries exhausted): abort the run and surface the error
@@ -266,7 +273,9 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	// fault injection must survive its own chaos, not abort on it.
 	tpFailed := make(chan error, 1)
 	if ch := tp.Errors(); ch != nil {
+		running.Add(1)
 		go func() {
+			defer running.Done()
 			for {
 				select {
 				case terr, ok := <-ch:
@@ -341,7 +350,11 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		if workerConns[i], err = tp.ServeWorker(ws); err != nil {
 			return nil, err
 		}
-		go ws.Loop(ctx)
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			ws.Loop(ctx)
+		}()
 	}
 
 	ctrlCfg := ControllerConfig{
@@ -376,7 +389,11 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		return nil, err
 	}
 	loop.Apply(ctx, initialPlan)
-	go loop.Run(ctx)
+	running.Add(1)
+	go func() {
+		defer running.Done()
+		loop.Run(ctx)
+	}()
 
 	// Precompute arrivals and the FID reference features while setup
 	// time is still free.
@@ -404,7 +421,9 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	if len(cfg.Reshard) > 0 {
 		events := append([]ReshardEvent(nil), cfg.Reshard...)
 		sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
+		running.Add(1)
 		go func() {
+			defer running.Done()
 			for _, ev := range events {
 				if !clock.SleepTraceCtx(ctx, ev.At-clock.Now()) {
 					return
@@ -468,7 +487,9 @@ func Run(cfg HarnessConfig) (*Result, error) {
 			close(done)
 		}
 	}()
+	running.Add(1)
 	go func() { // submitter
+		defer running.Done()
 		batch := make([]QueryMsg, 0, 64)
 		i := 0
 		for i < len(arrivals) {
@@ -518,6 +539,7 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	drainAll()
 	cancel()
 	collected.Wait()
+	running.Wait()
 	if transportErr == nil {
 		// The failure may have raced with normal completion.
 		select {

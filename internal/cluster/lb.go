@@ -240,47 +240,6 @@ func (s *LBServer) routePool() loadbalancer.PoolID {
 	return loadbalancer.Decide(s.cfg.Mode, s.splitProb, s.rng)
 }
 
-// notifier is a coalescing broadcast wakeup for goroutines that
-// re-check shared state under a lock before sleeping. Every method
-// must be called with the lock guarding the shared state held; that
-// single rule closes the classic missed-wakeup window structurally —
-// a push cannot slip between "state looks empty" and "channel
-// captured" because both happen inside one critical section, and the
-// matching wake runs under the same lock.
-//
-// Wakes with no armed waiter coalesce into nothing: the previous
-// close-and-replace signal() allocated a fresh channel on every push
-// even when no puller was parked, and (worse) made the no-missed-
-// wakeup guarantee depend on each call site remembering to capture
-// the channel before unlocking. Here arming is the capture.
-type notifier struct {
-	armed bool
-	ch    chan struct{}
-}
-
-// wait arms the notifier and returns the channel to block on after
-// the caller releases the lock. One wake resolves every armed waiter;
-// wakers re-check state and call wait again before sleeping anew.
-func (n *notifier) wait() <-chan struct{} {
-	if n.ch == nil {
-		n.ch = make(chan struct{})
-	}
-	n.armed = true
-	return n.ch
-}
-
-// wake unblocks every waiter armed since the previous wake. When no
-// waiter is armed it is a no-op (nothing can be selecting on n.ch),
-// so back-to-back pushes with no parked puller cost nothing.
-func (n *notifier) wake() {
-	if !n.armed {
-		return
-	}
-	close(n.ch)
-	n.ch = make(chan struct{})
-	n.armed = false
-}
-
 // Mux returns the HTTP handler exposing the LB API. Handlers decode
 // the request with the codec named by its Content-Type (JSON when
 // absent) and respond in kind.
@@ -443,30 +402,27 @@ func (s *LBServer) PollResultsInto(ctx context.Context, req ResultsRequest, resp
 		return
 	}
 	deadline := time.Now().Add(s.cfg.Clock.WallDuration(req.Wait)) //diffvet:allow walltime — long-poll deadline in wall time; the trace wait is already Clock-converted
+	w := getWaiter()
+	defer putWaiter(w)
 	for {
+		remain := time.Until(deadline) //diffvet:allow walltime — remaining wall budget of the Clock-converted long-poll deadline
 		s.resMu.Lock()
 		s.takeResultsInto(max, resp)
-		var wake <-chan struct{}
-		if len(resp.Results) == 0 {
-			wake = s.wakeResults.wait()
+		parked := len(resp.Results) == 0 && remain > 0
+		if parked {
+			s.wakeResults.arm(w)
+		} else {
+			s.wakeResults.disarm(w)
 		}
 		s.resMu.Unlock()
-		if len(resp.Results) > 0 {
+		if !parked {
 			return
 		}
-
-		remain := time.Until(deadline) //diffvet:allow walltime — remaining wall budget of the Clock-converted long-poll deadline
-		if remain <= 0 {
+		if w.park(remain, ctx.Done(), nil) == parkDone {
+			s.resMu.Lock()
+			s.wakeResults.disarm(w)
+			s.resMu.Unlock()
 			return
-		}
-		t := time.NewTimer(remain)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return
-		case <-wake:
-			t.Stop()
-		case <-t.C:
 		}
 	}
 }
@@ -560,8 +516,11 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 	resp.Queries = nil
 	p := s.pool(req.Role)
 	var deadline time.Time
+	var w *waiter
 	if req.Wait > 0 {
 		deadline = time.Now().Add(s.cfg.Clock.WallDuration(req.Wait)) //diffvet:allow walltime — long-poll deadline in wall time; the trace wait is already Clock-converted
+		w = getWaiter()
+		defer putWaiter(w)
 	}
 	scratch := getItemScratch()
 	defer putItemScratch(scratch)
@@ -570,13 +529,19 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 		// Heartbeat first, sweep if due: a reclaimed query re-queued by
 		// the sweep is pullable by this very call.
 		s.leaseTouch(req.WorkerID, now)
+		var remain time.Duration
+		if w != nil {
+			remain = time.Until(deadline) //diffvet:allow walltime — remaining wall budget of the Clock-converted long-poll deadline
+		}
 		p.mu.Lock()
 		shed, items, retry := s.dequeuePool(p, req.Max, now, (*scratch)[:0])
-		var wake <-chan struct{}
-		if len(items) == 0 && req.Wait > 0 {
-			// Arm the wakeup inside the same critical section as the
-			// failed dequeue, so a push cannot race the sleep.
-			wake = p.wake.wait()
+		// Arm the wakeup inside the same critical section as the
+		// failed dequeue, so a push cannot race the sleep.
+		parked := len(items) == 0 && remain > 0
+		if parked {
+			p.wake.arm(w)
+		} else if w != nil {
+			p.wake.disarm(w)
 		}
 		p.mu.Unlock()
 		if items != nil {
@@ -599,12 +564,7 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 			resp.LeaseDeadline = s.leaseBatch(req.WorkerID, req.Role, items, now)
 			return
 		}
-		if req.Wait <= 0 {
-			resp.Queries = nil
-			return
-		}
-		remain := time.Until(deadline) //diffvet:allow walltime — remaining wall budget of the Clock-converted long-poll deadline
-		if remain <= 0 {
+		if !parked {
 			resp.Queries = nil
 			return
 		}
@@ -619,14 +579,11 @@ func (s *LBServer) PullInto(ctx context.Context, req PullRequest, resp *PullResp
 		if sleep < time.Millisecond {
 			sleep = time.Millisecond
 		}
-		t := time.NewTimer(sleep)
-		select {
-		case <-ctx.Done():
-			t.Stop()
+		if w.park(sleep, ctx.Done(), nil) == parkDone {
+			p.mu.Lock()
+			p.wake.disarm(w)
+			p.mu.Unlock()
 			return
-		case <-wake:
-			t.Stop()
-		case <-t.C:
 		}
 	}
 }

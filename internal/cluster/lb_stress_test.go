@@ -138,48 +138,130 @@ func TestLBServerPerPoolLockStress(t *testing.T) {
 }
 
 // TestNotifierCoalescing pins the notifier contract: arming under the
-// lock always observes a wake that follows it, wakes with no armed
-// waiter are no-ops (no channel churn), and one wake releases every
-// armed waiter.
+// lock always observes a wake that follows it, arming twice registers
+// once, wakes with no armed waiter are no-ops, one wake releases every
+// armed waiter, and a disarmed waiter is never signalled.
 func TestNotifierCoalescing(t *testing.T) {
 	var mu sync.Mutex
 	var n notifier
-
-	mu.Lock()
-	ch1 := n.wait()
-	ch2 := n.wait()
-	mu.Unlock()
-	if ch1 != ch2 {
-		t.Fatal("consecutive waits without a wake returned different channels")
+	w1, w2 := getWaiter(), getWaiter()
+	defer putWaiter(w1)
+	defer putWaiter(w2)
+	signalled := func(w *waiter) bool {
+		select {
+		case <-w.wake:
+			return true
+		default:
+			return false
+		}
 	}
 
 	mu.Lock()
-	n.wake()
+	n.arm(w1)
+	n.arm(w1)
+	n.arm(w2)
 	mu.Unlock()
-	select {
-	case <-ch1:
-	default:
-		t.Fatal("armed waiter's channel not closed by wake")
-	}
-
-	// Unarmed wakes must not replace the channel a future waiter gets.
-	mu.Lock()
-	n.wake()
-	n.wake()
-	ch3 := n.wait()
-	mu.Unlock()
-	select {
-	case <-ch3:
-		t.Fatal("fresh waiter's channel already closed")
-	default:
+	if len(n.armed) != 2 {
+		t.Fatalf("armed list holds %d entries for 2 waiters", len(n.armed))
 	}
 	mu.Lock()
 	n.wake()
 	mu.Unlock()
+	if !signalled(w1) || !signalled(w2) {
+		t.Fatal("wake did not signal every armed waiter")
+	}
+	if len(n.armed) != 0 || w1.armed || w2.armed {
+		t.Fatal("wake left waiters armed")
+	}
+
+	// Unarmed wakes signal nobody.
+	mu.Lock()
+	n.wake()
+	n.wake()
+	n.arm(w1)
+	mu.Unlock()
+	if signalled(w1) {
+		t.Fatal("fresh waiter already signalled")
+	}
+	mu.Lock()
+	n.arm(w2)
+	n.disarm(w2)
+	n.wake()
+	mu.Unlock()
+	if !signalled(w1) {
+		t.Fatal("wake after re-arm did not signal the waiter")
+	}
+	if signalled(w2) {
+		t.Fatal("disarmed waiter was signalled")
+	}
+}
+
+// TestExpiredLongPollsKeepArmedListBounded parks thousands of long
+// polls that expire with no push, then checks that none stays
+// registered, and that arming under the pool lock still lets a push
+// wake a parked pull.
+func TestExpiredLongPollsKeepArmedListBounded(t *testing.T) {
+	const pollers, polls = 4, 500
+	lb := NewLBServer(LBConfig{
+		Mode: loadbalancer.ModeCascade, SLO: 1e9,
+		LightMinExec: 0.01, HeavyMinExec: 0.02,
+		Clock: NewClock(1e-4), Seed: 3, CoalesceWait: 1e-9,
+	})
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for i := 0; i < pollers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var pull PullResponse
+			var res ResultsResponse
+			for j := 0; j < polls; j++ {
+				// 1 trace second is 100 µs of wall time here.
+				lb.PullInto(ctx, PullRequest{Role: "light", Max: 1, Wait: 1}, &pull)
+				lb.PollResultsInto(ctx, ResultsRequest{Max: 1, Wait: 1}, &res)
+				if len(pull.Queries) != 0 || len(res.Results) != 0 {
+					t.Error("expired poll returned work nobody pushed")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	p := &lb.pools[loadbalancer.PoolLight]
+	p.mu.Lock()
+	pulls := len(p.wake.armed)
+	p.mu.Unlock()
+	lb.resMu.Lock()
+	results := len(lb.wakeResults.armed)
+	lb.resMu.Unlock()
+	if pulls != 0 || results != 0 {
+		t.Fatalf("%d pull and %d result waiters still armed after every poll returned", pulls, results)
+	}
+
+	got := make(chan int, 1)
+	go func() {
+		// 1e7 trace seconds is 1000 s of wall time: only a wake can
+		// end this poll within the test.
+		resp := lb.Pull(ctx, PullRequest{Role: "light", Max: 1, Wait: 1e7})
+		got <- len(resp.Queries)
+	}()
+	for {
+		p.mu.Lock()
+		parked := len(p.wake.armed)
+		p.mu.Unlock()
+		if parked == 1 {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	lb.SubmitBatch([]QueryMsg{{ID: 1}})
 	select {
-	case <-ch3:
-	default:
-		t.Fatal("wake after re-arm did not close the channel")
+	case n := <-got:
+		if n != 1 {
+			t.Fatalf("woken pull returned %d queries, want 1", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("push did not wake the parked pull")
 	}
 }
 

@@ -850,6 +850,10 @@ func (s *ShardedLB) pump(member int, conn LBConn) {
 			for i := range resp.Results {
 				resp.Results[i] = QueryResponse{}
 			}
+			// A failed poll leaves resp untouched: without the
+			// truncation the next merge would append the zeroed
+			// results as phantom query-0 responses.
+			resp.Results = resp.Results[:0]
 		}
 		if err != nil {
 			// Transient transport failure (or shutdown): back off so a
@@ -898,32 +902,30 @@ func (s *ShardedLB) PollResultsInto(ctx context.Context, req ResultsRequest, res
 		return nil
 	}
 	deadline := time.Now().Add(s.cfg.Clock.WallDuration(req.Wait)) //diffvet:allow walltime — long-poll deadline in wall time; the trace wait is already Clock-converted
+	w := getWaiter()
+	defer putWaiter(w)
 	for {
+		remain := time.Until(deadline) //diffvet:allow walltime — remaining wall budget of the Clock-converted long-poll deadline
 		s.resMu.Lock()
 		s.takeInto(max, resp)
-		var wake <-chan struct{}
-		if len(resp.Results) == 0 {
-			wake = s.wake.wait()
+		parked := len(resp.Results) == 0 && remain > 0
+		if parked {
+			s.wake.arm(w)
+		} else {
+			s.wake.disarm(w)
 		}
 		s.resMu.Unlock()
-		if len(resp.Results) > 0 {
+		if !parked {
 			return nil
 		}
-		remain := time.Until(deadline) //diffvet:allow walltime — remaining wall budget of the Clock-converted long-poll deadline
-		if remain <= 0 {
-			return nil
-		}
-		t := time.NewTimer(remain)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-s.ctx.Done():
-			t.Stop()
+		if r := w.park(remain, ctx.Done(), s.ctx.Done()); r == parkDone || r == parkClosed {
+			s.resMu.Lock()
+			s.wake.disarm(w)
+			s.resMu.Unlock()
+			if r == parkDone {
+				return ctx.Err()
+			}
 			return ErrTransportClosed
-		case <-wake:
-			t.Stop()
-		case <-t.C:
 		}
 	}
 }

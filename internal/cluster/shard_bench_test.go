@@ -13,14 +13,14 @@ import (
 // LB tier under concurrent batch submitters, with per-shard workers
 // draining the queues and a merged-result poller keeping the result
 // buffers bounded — the full admission pipeline. One op is one
-// 64-query SubmitBatch through the frontend. shards-1 is the classic
+// 64-query SubmitBatch through the frontend. shards=1 is the classic
 // single LBServer (its result lock and pool lock serialize every
 // submitter); higher shard counts split the stream by ID hash across
 // independent locks. PERFORMANCE.md records the measured scaling.
 func BenchmarkShardedSubmit(b *testing.B) {
 	const batchSize = 64
 	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			clock := NewClock(1e-6)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

@@ -516,6 +516,68 @@ func TestShardedLBStatsCarriesResetCounters(t *testing.T) {
 	}
 }
 
+// scriptedPollConn answers its first results poll with two results
+// and fails every later one, leaving the response untouched as the
+// tcp conn does.
+type scriptedPollConn struct {
+	LBConn
+	polls atomic.Int32
+}
+
+func (c *scriptedPollConn) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
+	return fmt.Errorf("scripted conn serves no pulls")
+}
+
+func (c *scriptedPollConn) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) error {
+	if c.polls.Add(1) == 1 {
+		resp.Results = append(resp.Results[:0], QueryResponse{ID: 10}, QueryResponse{ID: 11})
+		return nil
+	}
+	return fmt.Errorf("injected poll failure")
+}
+
+// TestShardedLBPumpMergesNoPhantomResults pins the pump's handling of
+// a failed poll after a non-empty one: the failure must merge
+// nothing, not the previous poll's zeroed results as query-0
+// responses.
+func TestShardedLBPumpMergesNoPhantomResults(t *testing.T) {
+	clock := NewClock(0.001)
+	lb := NewLBServer(LBConfig{
+		Mode: loadbalancer.ModeCascade, SLO: 1e9,
+		LightMinExec: 0.1, HeavyMinExec: 1.78, Clock: clock, Seed: 1,
+	})
+	conn := &scriptedPollConn{LBConn: NewLocalLBConn(lb)}
+	fe, err := NewShardedLB(ShardedLBConfig{Shards: []LBConn{conn}, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	ctx := context.Background()
+	var got []int
+	for len(got) < 2 {
+		resp, err := fe.PollResults(ctx, ResultsRequest{Max: 16, Wait: 1e4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range resp.Results {
+			got = append(got, r.ID)
+		}
+	}
+	for conn.polls.Load() < 5 {
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := fe.PollResults(ctx, ResultsRequest{Max: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range resp.Results {
+		got = append(got, r.ID)
+	}
+	if fmt.Sprint(got) != "[10 11]" {
+		t.Fatalf("merged results %v, want [10 11]", got)
+	}
+}
+
 // TestSplitShardAddrs pins the shared -shard-addrs parsing.
 func TestSplitShardAddrs(t *testing.T) {
 	got := SplitShardAddrs(" host:1 ,host:2,, host:3,")

@@ -129,13 +129,21 @@ type frame struct {
 // readFrame reads one length-prefixed frame, reusing buf when it is
 // large enough. It returns the (possibly grown) buffer for the next
 // call. The body buffer grows only as bytes actually arrive, so a
-// lying length prefix wastes at most ~2x the received bytes.
+// lying length prefix wastes at most ~2x the received bytes. The
+// length prefix is read in place from the reader's buffer: a local
+// array handed to io.ReadFull would escape, one allocation per frame.
 func readFrame(br *bufio.Reader, buf []byte) (frame, []byte, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(br, lenb[:]); err != nil {
+	lenb, err := br.Peek(4)
+	if err != nil {
+		if len(lenb) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return frame{}, buf, err
 	}
-	n := int(binary.BigEndian.Uint32(lenb[:]))
+	n := int(binary.BigEndian.Uint32(lenb))
+	if _, err := br.Discard(4); err != nil {
+		return frame{}, buf, err
+	}
 	if n < frameHeaderLen {
 		return frame{}, buf, fmt.Errorf("cluster: tcp frame body %dB shorter than %dB header", n, frameHeaderLen)
 	}
@@ -224,10 +232,10 @@ func appendFrame(b []byte, kind, method, cID byte, id uint64, codec Codec, msg i
 // collector arena).
 //
 // blocking marks the methods that can park for a long-poll wait; only
-// those get their own dispatch goroutine. Quick methods (submit,
-// complete, configure, stats) serve inline on the read loop, saving
-// the spawn and letting consecutive responses share one coalesced
-// flush.
+// those are served off the read loop, by goroutines the connection
+// reuses. Quick methods (submit, complete, configure, stats) serve
+// inline on the read loop, saving the handoff and letting consecutive
+// responses share one coalesced flush.
 type tcpService interface {
 	newRequest(method byte) (msg interface{}, ok bool)
 	serve(ctx context.Context, method byte, req interface{}) (interface{}, error)
@@ -429,6 +437,9 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 
 	br := bufio.NewReaderSize(conn, 32<<10)
 	w := &frameWriter{conn: conn, bw: bufio.NewWriterSize(conn, 32<<10)}
+	// Unbuffered: a send succeeds only when a blocking-frame server is
+	// idle and receiving.
+	blocked := make(chan blockingFrame)
 	for {
 		bp := getFrame()
 		f, buf, err := readFrame(br, (*bp)[:0])
@@ -441,15 +452,44 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			putFrame(bp)
 			return
 		}
-		s.wg.Add(1)
-		if s.svc.blocking(f.method) {
-			// Long polls get their own goroutine so they never block the
-			// connection's other in-flight requests.
-			go s.dispatch(ctx, w, f, bp)
-		} else {
-			// Quick methods serve inline: no spawn, and consecutive
+		if !s.svc.blocking(f.method) {
+			// Quick methods serve inline: no handoff, and consecutive
 			// responses on a busy connection share one coalesced flush.
 			s.dispatch(ctx, w, f, bp)
+			continue
+		}
+		// Long polls run off the read loop so they never block the
+		// connection's other in-flight requests. An idle server of
+		// this connection takes the frame; only when every one is busy
+		// does a new one start, so the goroutine count tracks the
+		// peak of concurrent long polls, not the frame count.
+		select {
+		case blocked <- blockingFrame{f, bp}:
+		default:
+			s.wg.Add(1)
+			go s.serveBlocking(ctx, w, blocked, f, bp)
+		}
+	}
+}
+
+// blockingFrame is a long-poll request frame handed from a
+// connection's read loop to one of its blocking-frame servers.
+type blockingFrame struct {
+	f  frame
+	bp *[]byte
+}
+
+// serveBlocking dispatches f, then waits idle for the connection's
+// next long-poll frame, until the connection's context ends.
+func (s *TCPServer) serveBlocking(ctx context.Context, w *frameWriter, frames <-chan blockingFrame, f frame, bp *[]byte) {
+	defer s.wg.Done()
+	for {
+		s.dispatch(ctx, w, f, bp)
+		select {
+		case next := <-frames:
+			f, bp = next.f, next.bp
+		case <-ctx.Done():
+			return
 		}
 	}
 }
@@ -460,7 +500,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 // back to their pools once the response frame is written (handlers
 // must not retain them; see tcpService).
 func (s *TCPServer) dispatch(ctx context.Context, w *frameWriter, f frame, bp *[]byte) {
-	defer s.wg.Done()
 	codec := codecByID(f.codec)
 	req, known := s.svc.newRequest(f.method)
 	if !known {

@@ -388,15 +388,139 @@ func (c *Clock) SleepTraceCtx(ctx context.Context, d float64) bool {
 		time.Sleep(c.WallDuration(d)) //diffvet:allow walltime — SleepTraceCtx realizes a trace interval as wall time; this is the boundary itself
 		return true
 	}
-	t := time.NewTimer(c.WallDuration(d))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	w := getWaiter()
+	defer putWaiter(w)
+	return w.park(c.WallDuration(d), ctx.Done(), nil) == parkTimedOut
 }
 
 // Timescale returns the wall-seconds-per-trace-second factor.
 func (c *Clock) Timescale() float64 { return c.timescale }
+
+// waiter is one blocking wait's parking spot: the channel a notifier
+// signals and the timer that bounds the wait. Waiters are pooled, so
+// long polls and trace sleeps park without allocating; every wait on
+// the data path goes through park.
+type waiter struct {
+	// wake carries a notifier's signal. Its one-slot buffer keeps a
+	// signal sent between arming and parking.
+	wake  chan struct{}
+	timer *time.Timer
+	// armed reports whether the waiter is on a notifier's list. It is
+	// guarded by the lock that guards that notifier.
+	armed bool
+}
+
+var waiterPool = sync.Pool{New: func() interface{} {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{wake: make(chan struct{}, 1), timer: t}
+}}
+
+// getWaiter returns an unarmed waiter with a stopped timer and no
+// pending signal.
+func getWaiter() *waiter { return waiterPool.Get().(*waiter) }
+
+// putWaiter recycles w. The caller must have disarmed it (every exit
+// from a notifier wait does so under the notifier's lock), so no
+// notifier can signal it again; a signal that raced that exit is
+// dropped here rather than waking the waiter's next user.
+func putWaiter(w *waiter) {
+	select {
+	case <-w.wake:
+	default:
+	}
+	waiterPool.Put(w)
+}
+
+// parkResult says why park returned.
+type parkResult uint8
+
+const (
+	parkWoken    parkResult = iota // a notifier signalled the waiter
+	parkTimedOut                   // the duration elapsed
+	parkDone                       // the done channel closed
+	parkClosed                     // the closed channel closed
+)
+
+// park blocks until the waiter is signalled, d elapses, or done or
+// closed is closed (nil channels never are). The timer is left
+// stopped with its channel empty, ready for reuse.
+func (w *waiter) park(d time.Duration, done, closed <-chan struct{}) parkResult {
+	w.timer.Reset(d)
+	var r parkResult
+	select {
+	case <-w.timer.C:
+		return parkTimedOut
+	case <-w.wake:
+		r = parkWoken
+	case <-done:
+		r = parkDone
+	case <-closed:
+		r = parkClosed
+	}
+	if !w.timer.Stop() {
+		// The timer expired unreceived. Under this module's go 1.22
+		// timer semantics (asynctimerchan=1) its tick is, or is about
+		// to be, buffered in the channel, and left there it would end
+		// the next wait early. (Under the newer semantics Stop returns
+		// true here, so this never blocks.)
+		<-w.timer.C
+	}
+	return r
+}
+
+// notifier is a coalescing broadcast wakeup for goroutines that
+// re-check shared state under a lock before sleeping. Every method
+// must be called with the lock guarding the shared state held; that
+// single rule closes the missed-wakeup window structurally: a push
+// cannot slip between "state looks empty" and "waiter armed" because
+// both happen inside one critical section, and the matching wake runs
+// under the same lock.
+//
+// Wakes with no armed waiter are no-ops, and a wake signals each armed
+// waiter's own reusable channel instead of closing and replacing a
+// shared one, so neither parking nor waking allocates once the armed
+// list has grown to the peak number of parked goroutines.
+type notifier struct {
+	armed []*waiter
+}
+
+// arm registers w for the next wake; arming an armed waiter is a
+// no-op. The caller parks on w after releasing the lock, and must
+// disarm w under the lock on any exit other than being woken.
+func (n *notifier) arm(w *waiter) {
+	if !w.armed {
+		w.armed = true
+		n.armed = append(n.armed, w)
+	}
+}
+
+// disarm removes w from the armed list, if it is on it.
+func (n *notifier) disarm(w *waiter) {
+	if !w.armed {
+		return
+	}
+	w.armed = false
+	for i, a := range n.armed {
+		if a == w {
+			last := len(n.armed) - 1
+			n.armed[i], n.armed[last] = n.armed[last], nil
+			n.armed = n.armed[:last]
+			return
+		}
+	}
+}
+
+// wake signals and disarms every armed waiter; wakers re-check state
+// and arm again before sleeping anew.
+func (n *notifier) wake() {
+	for i, w := range n.armed {
+		w.armed = false
+		select {
+		case w.wake <- struct{}{}:
+		default: // a signal is already pending
+		}
+		n.armed[i] = nil
+	}
+	n.armed = n.armed[:0]
+}

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"diffserve/internal/loadbalancer"
@@ -74,20 +76,7 @@ func BenchmarkCodecCompleteRequest(b *testing.B) {
 func BenchmarkWirePath(b *testing.B) {
 	for _, name := range []string{TransportJSON, TransportBinary, TransportTCP, TransportInproc} {
 		b.Run(name, func(b *testing.B) {
-			tp, err := NewTransport(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tp.Close()
-			lb := NewLBServer(LBConfig{
-				Mode: loadbalancer.ModeCascade, SLO: 1e9,
-				LightMinExec: 0.1, HeavyMinExec: 1.78,
-				Clock: NewClock(1), Seed: 1,
-			})
-			conn, err := tp.ServeLB(lb)
-			if err != nil {
-				b.Fatal(err)
-			}
+			_, conn := serveBenchLB(b, name)
 			ctx := context.Background()
 			proto := benchCompleteRequest()
 			queries := make([]QueryMsg, len(proto.Items))
@@ -132,6 +121,111 @@ func BenchmarkWirePath(b *testing.B) {
 						b.Fatal("no results")
 					}
 					got += len(results.Results)
+				}
+			}
+		})
+	}
+}
+
+// serveBenchLB serves a fresh load balancer over the named transport
+// for the wire-path benchmarks; the transport closes with b.
+func serveBenchLB(b *testing.B, name string) (*LBServer, LBConn) {
+	tp, err := NewTransport(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(tp.Close)
+	lb := NewLBServer(LBConfig{
+		Mode: loadbalancer.ModeCascade, SLO: 1e9,
+		LightMinExec: 0.1, HeavyMinExec: 1.78,
+		Clock: NewClock(1), Seed: 1,
+	})
+	conn, err := tp.ServeLB(lb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return lb, conn
+}
+
+// BenchmarkWirePathParked is BenchmarkWirePath with both long polls
+// parked: each op issues its pull and its results poll first, waits
+// until the load balancer has armed both, and only then submits, so
+// the cycle includes a blocked pull and a blocked poll being woken —
+// the waits a serving cluster does and BenchmarkWirePath never does.
+// Divide B/op and allocs/op by 8 for per-query numbers.
+func BenchmarkWirePathParked(b *testing.B) {
+	for _, name := range []string{TransportTCP, TransportInproc} {
+		b.Run(name, func(b *testing.B) {
+			lb, conn := serveBenchLB(b, name)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			proto := benchCompleteRequest()
+			queries := make([]QueryMsg, len(proto.Items))
+			items := make([]CompleteItem, len(proto.Items))
+
+			// The puller and the poller live for the whole benchmark and
+			// are started once per op; each op's loop reads both results
+			// and fails on an error. One slot per goroutine in each.
+			start := make(chan struct{}, 2)
+			done := make(chan error, 2)
+			go func() { // puller: one parked pull, then the completion
+				var pulled PullResponse
+				for range start {
+					err := PullIntoConn(ctx, conn, PullRequest{Role: "light", Max: len(queries), Wait: 10}, &pulled)
+					if err == nil && len(pulled.Queries) != len(queries) {
+						err = fmt.Errorf("pulled %d of %d", len(pulled.Queries), len(queries))
+					}
+					if err == nil {
+						err = conn.Complete(ctx, CompleteRequest{WorkerID: 0, Role: "light", Items: items})
+					}
+					done <- err
+				}
+			}()
+			go func() { // poller: parked polls until the op's results are in
+				var results ResultsResponse
+				for range start {
+					var err error
+					for got := 0; got < len(queries) && err == nil; got += len(results.Results) {
+						err = PollResultsIntoConn(ctx, conn, ResultsRequest{Max: len(queries), Wait: 10}, &results)
+					}
+					done <- err
+				}
+			}()
+			defer close(start)
+			// armed reports whether both long polls are parked.
+			pool := &lb.pools[loadbalancer.PoolLight]
+			armed := func() bool {
+				pool.mu.Lock()
+				pulls := len(pool.wake.armed)
+				pool.mu.Unlock()
+				lb.resMu.Lock()
+				polls := len(lb.wakeResults.armed)
+				lb.resMu.Unlock()
+				return pulls == 1 && polls == 1
+			}
+
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range queries {
+					id := i*len(queries) + j
+					queries[j] = QueryMsg{ID: id, Arrival: 0}
+					items[j] = proto.Items[j]
+					items[j].ID = id
+					items[j].Arrival = 0.001
+				}
+				start <- struct{}{}
+				start <- struct{}{}
+				for !armed() {
+					runtime.Gosched()
+				}
+				if err := conn.SubmitBatch(ctx, SubmitRequest{Queries: queries}); err != nil {
+					b.Fatal(err)
+				}
+				for k := 0; k < 2; k++ {
+					if err := <-done; err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -4,7 +4,7 @@
 // cmd/diffserve-sim CLI and the benchmark harness at the repository
 // root.
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index:
 //
 //	Fig1a  — FID vs. latency for cascade scorers + independent variants
 //	Fig1b  — CDFs of per-query quality differences (easy queries)
