@@ -3,12 +3,15 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -out BENCH.json
-//	go test -run '^$' -bench WirePath -benchmem ./... | benchjson -max-allocs 'BenchmarkWirePath/tcp=16'
+//	go test -run '^$' -bench . -benchmem ./... | benchjson -out BENCH.json -commit "$(git rev-parse HEAD)"
+//	go test -run '^$' -bench WirePath -benchmem ./... | benchjson -max-allocs 'BenchmarkWirePath/tcp=2'
 //
 // The benchmark text passes through to stdout unchanged, so the tool
 // can sit at the end of a Makefile pipe without hiding the readable
-// report. -max-allocs takes comma-separated name=budget pairs (names
+// report. The JSON summary is stamped with the environment the numbers
+// came from — the Go version, GOMAXPROCS, the run's `cpu:` line and
+// the -commit given — so a later run can tell whether it is comparing
+// like with like. -max-allocs takes comma-separated name=budget pairs (names
 // without the -GOMAXPROCS suffix); a named benchmark that is missing
 // from the input or exceeds its budget fails the run. The suffix
 // stripped is this process's GOMAXPROCS, which is the benchmark run's
@@ -20,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -36,14 +40,27 @@ type benchResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
+// benchEnv stamps a report with where its numbers came from. The Go
+// version and GOMAXPROCS are this process's, which are the benchmark
+// run's when both are started by the same toolchain in the same
+// environment (as the Makefile pipes do).
+type benchEnv struct {
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"`
+	Commit     string `json:"commit"`
+}
+
 type benchReport struct {
 	Unit       string        `json:"unit"`
+	Env        benchEnv      `json:"env"`
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
 func main() {
 	out := flag.String("out", "", "write the JSON summary to this file")
-	maxAllocs := flag.String("max-allocs", "", "comma-separated name=budget allocs/op gates, e.g. 'BenchmarkWirePath/tcp=16'")
+	maxAllocs := flag.String("max-allocs", "", "comma-separated name=budget allocs/op gates, e.g. 'BenchmarkWirePath/tcp=2'")
+	commit := flag.String("commit", "none", "commit the benchmarked sources came from, stamped into the summary")
 	flag.Parse()
 
 	budgets, err := parseBudgets(*maxAllocs)
@@ -51,18 +68,8 @@ func main() {
 		fatal(err)
 	}
 
-	report := benchReport{Unit: "ns/op, B/op, allocs/op", Benchmarks: []benchResult{}}
-	procs := runtime.GOMAXPROCS(0)
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // passthrough: keep the readable report
-		if r, ok := parseBenchLine(line, procs); ok {
-			report.Benchmarks = append(report.Benchmarks, r)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	report, err := readReport(os.Stdin, os.Stdout, runtime.GOMAXPROCS(0), *commit)
+	if err != nil {
 		fatal(err)
 	}
 
@@ -82,6 +89,30 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// readReport copies `go test -bench` output from r to w line by line
+// and collects its result lines and its `cpu:` header into a report
+// stamped for a run at GOMAXPROCS procs from commit.
+func readReport(r io.Reader, w io.Writer, procs int, commit string) (benchReport, error) {
+	report := benchReport{
+		Unit:       "ns/op, B/op, allocs/op",
+		Env:        benchEnv{GoVersion: runtime.Version(), GOMAXPROCS: procs, Commit: commit},
+		Benchmarks: []benchResult{},
+	}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(w, line) // passthrough: keep the readable report
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && report.Env.CPU == "" {
+			report.Env.CPU = strings.TrimSpace(cpu)
+		}
+		if r, ok := parseBenchLine(line, procs); ok {
+			report.Benchmarks = append(report.Benchmarks, r)
+		}
+	}
+	return report, sc.Err()
 }
 
 func fatal(err error) {

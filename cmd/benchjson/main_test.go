@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -98,5 +100,44 @@ func TestParseBudgets(t *testing.T) {
 	}
 	if b, err := parseBudgets(""); err != nil || len(b) != 0 {
 		t.Fatalf("empty spec: %v, %v", b, err)
+	}
+}
+
+// TestReadReportStamps checks the summary's environment stamp: the Go
+// version and GOMAXPROCS of the run, the first `cpu:` header line, and
+// the commit given, alongside the parsed results; the text itself
+// passes through unchanged.
+func TestReadReportStamps(t *testing.T) {
+	in := strings.Join([]string{
+		"goos: linux",
+		"goarch: amd64",
+		"pkg: diffserve/internal/cluster",
+		"cpu: Intel(R) Xeon(R) Processor @ 2.10GHz",
+		"BenchmarkWirePath/tcp-2   \t 1000\t 43210 ns/op\t 6409 B/op\t 0 allocs/op",
+		"pkg: diffserve",
+		"cpu: some other line",
+		"PASS",
+	}, "\n") + "\n"
+	var pass strings.Builder
+	r, err := readReport(strings.NewReader(in), &pass, 2, "abc123")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pass.String() != in {
+		t.Errorf("passthrough changed the text:\n%s", pass.String())
+	}
+	want := benchEnv{GoVersion: runtime.Version(), GOMAXPROCS: 2, CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz", Commit: "abc123"}
+	if r.Env != want {
+		t.Errorf("env = %+v, want %+v", r.Env, want)
+	}
+	if len(r.Benchmarks) != 1 || r.Benchmarks[0].Name != "BenchmarkWirePath/tcp" || r.Benchmarks[0].AllocsPerOp != 0 {
+		t.Errorf("benchmarks = %+v", r.Benchmarks)
+	}
+
+	// Input without a cpu: header leaves the field empty rather than
+	// guessing.
+	r, err = readReport(strings.NewReader("BenchmarkX 1 1 ns/op\n"), io.Discard, 1, "none")
+	if err != nil || r.Env.CPU != "" || r.Env.Commit != "none" || len(r.Benchmarks) != 1 {
+		t.Errorf("report = %+v, %v", r, err)
 	}
 }

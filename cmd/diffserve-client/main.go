@@ -13,7 +13,7 @@
 //
 //	diffserve-client -lb http://localhost:8100 -trace trace_4to32qps.txt -timescale 0.1
 //	diffserve-client -lb http://localhost:8100 -min 4 -max 32 -duration 360 -codec binary
-//	diffserve-client -lb localhost:8100 -transport tcp -codec binary
+//	diffserve-client -lb localhost:8100 -transport tcp
 //	diffserve-client -shard-addrs localhost:8100,localhost:8101 -transport tcp
 package main
 
@@ -45,7 +45,7 @@ func main() {
 		duration   = flag.Float64("duration", 360, "generated trace duration (seconds)")
 		seed       = flag.Uint64("seed", 20250610, "shared experiment seed")
 		timescale  = flag.Float64("timescale", 0.1, "wall seconds per trace second")
-		codecName  = flag.String("codec", "json", "wire codec: json|binary")
+		codecName  = flag.String("codec", "json", "HTTP wire codec: json|binary (applies to HTTP only; -transport tcp always speaks binary)")
 	)
 	flag.Parse()
 
@@ -77,6 +77,9 @@ func main() {
 	codec, err := cluster.CodecByName(*codecName)
 	if err != nil {
 		fatal(err)
+	}
+	if *transport == cluster.TransportTCP {
+		codec = cluster.CodecBinary // what the tcp transport speaks, whatever -codec says
 	}
 
 	arrivals := tr.Arrivals(stats.NewRNG(*seed + 17).Stream("trace"))

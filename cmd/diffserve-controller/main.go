@@ -60,7 +60,7 @@ func main() {
 		seed       = flag.Uint64("seed", 20250610, "shared experiment seed")
 		timescale  = flag.Float64("timescale", 0.1, "wall seconds per trace second")
 		interval   = flag.Float64("interval", 2, "control period in trace seconds")
-		codecName  = flag.String("codec", "json", "wire codec to LB and workers: json|binary")
+		codecName  = flag.String("codec", "json", "HTTP wire codec to LB and workers: json|binary (applies to HTTP only; -transport tcp always speaks binary)")
 	)
 	flag.Parse()
 

@@ -23,7 +23,7 @@
 // (the tier must run with matching -ring-vnodes on the frontends).
 //
 //	diffserve-lb -port 8100 -cascade cascade1 -slo 5 -timescale 0.1
-//	diffserve-lb -port 8100 -transport tcp -codec binary
+//	diffserve-lb -port 8100 -transport tcp
 //	diffserve-lb -port 8100 -lb-shards 2 -transport tcp
 //	diffserve-lb -port 8100 -lb-shards 2 -admin-port 9101
 package main
@@ -52,7 +52,7 @@ func main() {
 		timescale = flag.Float64("timescale", 0.1, "wall seconds per trace second")
 		mode      = flag.String("mode", "cascade", "routing: cascade|all-light|all-heavy|random-split")
 		transport = flag.String("transport", "http", "wire transport: http|tcp (raw framed TCP)")
-		codecName = flag.String("codec", "json", "advertised wire codec: json|binary (the server answers each request in the codec it arrived in)")
+		codecName = flag.String("codec", "json", "advertised HTTP wire codec: json|binary (applies to HTTP only, where the server answers each request in the codec it arrived in; -transport tcp always speaks binary)")
 		lease     = flag.Float64("lease", 0, "pull-lease duration in trace seconds: a worker that pulls a batch and never completes it forfeits the queries to the expiry sweep (0 = 4x the SLO, negative disables leasing)")
 		leaseRed  = flag.Int("lease-redeliveries", 0, "times an unlucky query is reclaimed and re-queued before it is shed as a drop (0 = default 3)")
 		adminPort = flag.Int("admin-port", 0, "admin API port: POST /add-shard serves one more shard on the next consecutive port (0 = disabled)")
@@ -63,6 +63,9 @@ func main() {
 	codec, err := cluster.CodecByName(*codecName)
 	if err != nil {
 		fatal(err)
+	}
+	if *transport == cluster.TransportTCP {
+		codec = cluster.CodecBinary // what the tcp transport speaks, whatever -codec says
 	}
 	if *shards < 1 {
 		fatal(fmt.Errorf("-lb-shards must be at least 1, got %d", *shards))

@@ -31,7 +31,7 @@
 // another worker.
 //
 //	diffserve-worker -port 50051 -id 0 -lb http://localhost:8100 -cascade cascade1
-//	diffserve-worker -port 50051 -id 0 -lb localhost:8100 -transport tcp -codec binary
+//	diffserve-worker -port 50051 -id 0 -lb localhost:8100 -transport tcp
 //	diffserve-worker -port 50051 -id 3 -shard-addrs localhost:8100,localhost:8101 -transport tcp
 package main
 
@@ -58,7 +58,7 @@ func main() {
 		timescale  = flag.Float64("timescale", 0.1, "wall seconds per trace second")
 		fastLoad   = flag.Bool("fast-load", false, "skip model-switch load delays")
 		transport  = flag.String("transport", "http", "wire transport to the LB and for the control API: http|tcp (raw framed TCP)")
-		codecName  = flag.String("codec", "json", "wire codec to the LB: json|binary")
+		codecName  = flag.String("codec", "json", "HTTP wire codec to the LB: json|binary (applies to HTTP only; -transport tcp always speaks binary)")
 
 		retryAttempts = flag.Int("retry-attempts", 0, "tries per LB data-path call before the transient failure surfaces (0 = default 4, 1 disables retries)")
 		retryBaseMs   = flag.Float64("retry-base-ms", 0, "first retry backoff in milliseconds, doubling with jitter up to a 50x cap (0 = default 5ms)")

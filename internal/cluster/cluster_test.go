@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -363,6 +365,71 @@ func TestRunWaitsForItsGoroutines(t *testing.T) {
 		}
 		if len(res.Plans) == 0 {
 			t.Fatal("no plans applied")
+		}
+	}
+}
+
+// initialAssignProbe wraps a transport and records, per worker, the
+// trace time the worker could start its first batch right after the
+// first Configure that gives it a role — the initial plan's.
+type initialAssignProbe struct {
+	Transport
+	mu      sync.Mutex
+	readyAt map[*WorkerServer]float64
+}
+
+func (p *initialAssignProbe) ServeWorker(s *WorkerServer) (WorkerConn, error) {
+	conn, err := p.Transport.ServeWorker(s)
+	return probedWorkerConn{conn, s, p}, err
+}
+
+type probedWorkerConn struct {
+	WorkerConn
+	s *WorkerServer
+	p *initialAssignProbe
+}
+
+func (c probedWorkerConn) Configure(ctx context.Context, req ConfigureWorkerRequest) error {
+	err := c.WorkerConn.Configure(ctx, req)
+	c.s.mu.Lock()
+	at, assigned := c.s.state.ReadyAt()
+	c.s.mu.Unlock()
+	c.p.mu.Lock()
+	if _, seen := c.p.readyAt[c.s]; assigned && !seen {
+		c.p.readyAt[c.s] = at
+	}
+	c.p.mu.Unlock()
+	return err
+}
+
+// TestRunAppliesInitialPlanAtTraceZero is the set-up ordering
+// regression: with load delays disabled, every worker the initial plan
+// assigns must be available at trace time 0 of the replay. Applying
+// the plan before the clock restarted used to stamp the assignment
+// with the set-up's elapsed trace time, leaving every worker
+// unavailable that long into the replay.
+func TestRunAppliesInitialPlanAtTraceZero(t *testing.T) {
+	f := newFixtures(t)
+	tr, err := trace.Static(6, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &initialAssignProbe{Transport: localTransport{}, readyAt: map[*WorkerServer]float64{}}
+	if _, err := Run(HarnessConfig{
+		Space: f.space, Light: f.light, Heavy: f.heavy, Scorer: f.scorer,
+		Mode: loadbalancer.ModeCascade, Workers: 4, SLO: 5,
+		Trace: tr, Ctrl: f.controller(t, 4, 5),
+		Timescale: 0.02, Seed: 3, DisableLoadDelay: true,
+		TransportImpl: probe,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.readyAt) == 0 {
+		t.Fatal("the initial plan assigned no worker")
+	}
+	for ws, at := range probe.readyAt {
+		if at > 0 {
+			t.Errorf("worker %d first available at trace time %.3f, want 0", ws.cfg.ID, at)
 		}
 	}
 }

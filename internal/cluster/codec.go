@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // Codec serializes cluster wire messages. Two codecs ship with the
@@ -187,7 +188,7 @@ func (binaryCodec) MarshalAppend(b []byte, v interface{}) ([]byte, error) {
 	case MembershipResponse:
 		return appendMembershipResponse(b, &m), nil
 	}
-	return nil, fmt.Errorf("cluster: binary codec cannot marshal %T", v)
+	return nil, fmt.Errorf("cluster: binary codec cannot marshal %v", reflect.TypeOf(v))
 }
 
 func (binaryCodec) Unmarshal(data []byte, v interface{}) error {
@@ -243,13 +244,13 @@ func (binaryCodec) Unmarshal(data []byte, v interface{}) error {
 		d.tag(tagResultsResponse)
 		readResultsResponse(d, m)
 	default:
-		return fmt.Errorf("cluster: binary codec cannot unmarshal into %T", v)
+		return fmt.Errorf("cluster: binary codec cannot unmarshal into %v", reflect.TypeOf(v))
 	}
 	if d.err != nil {
-		return fmt.Errorf("cluster: binary decode %T: %w", v, d.err)
+		return fmt.Errorf("cluster: binary decode %v: %w", reflect.TypeOf(v), d.err)
 	}
 	if d.off != len(d.buf) {
-		return fmt.Errorf("cluster: binary decode %T: %d trailing bytes", v, len(d.buf)-d.off)
+		return fmt.Errorf("cluster: binary decode %v: %d trailing bytes", reflect.TypeOf(v), len(d.buf)-d.off)
 	}
 	return nil
 }

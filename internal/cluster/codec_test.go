@@ -3,6 +3,7 @@ package cluster
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -227,5 +228,33 @@ func TestCodecByName(t *testing.T) {
 	}
 	if _, err := NewTransport("grpc"); err == nil {
 		t.Error("unknown transport name should error")
+	}
+}
+
+// TestBinaryCodecErrorsNameGoType pins the codec's error text. The
+// messages format the type with reflect.TypeOf rather than %T, which
+// keeps the message argument from escaping to the heap, and must still
+// name the Go type exactly as %T would.
+func TestBinaryCodecErrorsNameGoType(t *testing.T) {
+	type notWire struct{}
+	data, err := CodecBinary.Marshal(&QueryMsg{ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, marshalNil := CodecBinary.Marshal(nil)
+	_, marshalOther := CodecBinary.Marshal(&notWire{})
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{marshalNil, "cannot marshal <nil>"},
+		{marshalOther, "cannot marshal *cluster.notWire"},
+		{CodecBinary.Unmarshal(data, notWire{}), "cannot unmarshal into cluster.notWire"},
+		{CodecBinary.Unmarshal(data, &LBStats{}), "binary decode *cluster.LBStats: "},
+		{CodecBinary.Unmarshal(append(data, 0), &QueryMsg{}), "binary decode *cluster.QueryMsg: 1 trailing bytes"},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("error %v does not contain %q", c.err, c.want)
+		}
 	}
 }

@@ -22,8 +22,8 @@ type transportCase struct {
 }
 
 // transportMatrix enumerates every transport × codec combination the
-// package ships: in-process, HTTP with both codecs, and raw TCP with
-// both codecs.
+// package ships: in-process, HTTP with both codecs, and raw TCP (which
+// speaks only the binary codec).
 func transportMatrix() []transportCase {
 	mkNamed := func(name string) func() Transport {
 		return func() Transport {
@@ -38,7 +38,6 @@ func transportMatrix() []transportCase {
 		{name: "inproc", mk: mkNamed(TransportInproc), failsAfterClose: false},
 		{name: "http-json", mk: mkNamed(TransportJSON), failsAfterClose: true},
 		{name: "http-binary", mk: mkNamed(TransportBinary), failsAfterClose: true},
-		{name: "tcp-json", mk: func() Transport { return newTCPTransport(CodecJSON) }, failsAfterClose: true},
 		{name: "tcp-binary", mk: mkNamed(TransportTCP), failsAfterClose: true},
 	}
 }

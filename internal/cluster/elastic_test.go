@@ -247,7 +247,7 @@ func TestMembershipFollowerSyncsOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(srv.Close)
-		return srv.Addr(), NewTCPLBConn(srv.Addr(), CodecBinary)
+		return srv.Addr(), NewTCPLBConn(srv.Addr())
 	}
 	addr0, auth0 := serveTCP(0)
 	addr1, auth1 := serveTCP(1)
@@ -263,7 +263,7 @@ func TestMembershipFollowerSyncsOverTCP(t *testing.T) {
 	authority.SetMemberAddr(1, addr1)
 
 	follower, err := NewShardedLB(ShardedLBConfig{
-		Shards: []LBConn{NewTCPLBConn(addr0, CodecBinary), NewTCPLBConn(addr1, CodecBinary)},
+		Shards: []LBConn{NewTCPLBConn(addr0), NewTCPLBConn(addr1)},
 		Clock:  clock, VNodes: 128,
 	})
 	if err != nil {
@@ -282,7 +282,7 @@ func TestMembershipFollowerSyncsOverTCP(t *testing.T) {
 		t.Fatal("tcp conn does not serve the membership verb")
 	}
 	dial := func(member int, addr string) (LBConn, error) {
-		return NewTCPLBConn(addr, CodecBinary), nil
+		return NewTCPLBConn(addr), nil
 	}
 	flipped, err := follower.SyncMembership(ctx, src, dial)
 	if err != nil {

@@ -150,27 +150,28 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // actually arrived (the declared length is capped and the buffer
 // grows incrementally).
 func FuzzDecodeFrame(f *testing.F) {
-	// Valid frames in both codecs, a frame followed by garbage, and
-	// hostile length prefixes.
-	mkFrame := func(kind, method, cID byte, id uint64, codec Codec, msg interface{}, errText string) []byte {
-		b, err := appendFrame(nil, kind, method, cID, id, codec, msg, errText)
+	// Valid binary frames, JSON-codec frames (well-formed, but the
+	// server rejects them: they exercise decodeRequest's refusal), a
+	// frame followed by garbage, and hostile length prefixes.
+	mkFrame := func(kind, method byte, id uint64, msg interface{}, errText string) []byte {
+		b, err := appendFrame(nil, kind, method, id, msg, errText)
 		if err != nil {
 			f.Fatal(err)
 		}
 		return b
 	}
-	valid := mkFrame(frameRequest, methodPull, codecIDBinary, 1, CodecBinary, &PullRequest{Role: "light", Max: 4}, "")
+	valid := mkFrame(frameRequest, methodPull, 1, &PullRequest{Role: "light", Max: 4}, "")
 	f.Add(valid)
-	f.Add(mkFrame(frameRequest, methodSubmit, codecIDJSON, 2, CodecJSON, &SubmitRequest{Queries: []QueryMsg{{ID: 1}}}, ""))
-	f.Add(mkFrame(frameResponse, methodLBStats, codecIDBinary, 3, CodecBinary, &LBStats{Completed: 5}, ""))
-	f.Add(mkFrame(frameError, methodComplete, codecIDBinary, 4, CodecBinary, nil, "boom"))
+	f.Add(jsonFrame(f, frameRequest, methodSubmit, 2, &SubmitRequest{Queries: []QueryMsg{{ID: 1}}}))
+	f.Add(mkFrame(frameResponse, methodLBStats, 3, &LBStats{Completed: 5}, ""))
+	f.Add(mkFrame(frameError, methodComplete, 4, nil, "boom"))
 	// Lease-era frames: a pull response carrying its lease deadline and
-	// a completion echoing one, in both codecs.
-	f.Add(mkFrame(frameResponse, methodPull, codecIDBinary, 5, CodecBinary,
+	// a completion echoing one.
+	f.Add(mkFrame(frameResponse, methodPull, 5,
 		&PullResponse{Queries: []QueryMsg{{ID: 2, Arrival: 1.5}}, RingEpoch: 1, LeaseDeadline: 9.75}, ""))
-	f.Add(mkFrame(frameRequest, methodComplete, codecIDJSON, 6, CodecJSON,
+	f.Add(jsonFrame(f, frameRequest, methodComplete, 6,
 		&CompleteRequest{WorkerID: 2, Role: "light", LeaseDeadline: 9.75,
-			Items: []CompleteItem{{ID: 2, Arrival: 1.5, Variant: "sdturbo", Confidence: 0.5}}}, ""))
+			Items: []CompleteItem{{ID: 2, Arrival: 1.5, Variant: "sdturbo", Confidence: 0.5}}}))
 	f.Add(append(append([]byte(nil), valid...), 0xde, 0xad, 0xbe, 0xef))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 1, 1}) // 4 GiB declared length
 	f.Add([]byte{0, 0, 0, 0})                      // body shorter than header
@@ -198,6 +199,19 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			if len(fr.payload) > maxFrameBody {
 				t.Fatalf("payload %dB exceeds the frame cap", len(fr.payload))
+			}
+			if fr.kind != frameRequest {
+				continue
+			}
+			// Decode the request the way the server's dispatch does: a
+			// non-binary codec id must be refused, and no payload may
+			// panic the decoder.
+			req, err := decodeRequest(lbService{}, fr)
+			if fr.codec != codecIDBinary && err == nil {
+				t.Fatalf("codec %d request decoded; only binary is served", fr.codec)
+			}
+			if req != nil {
+				ReleaseMessage(req)
 			}
 		}
 	})

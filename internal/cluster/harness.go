@@ -178,7 +178,11 @@ func Run(cfg HarnessConfig) (*Result, error) {
 	defer tp.Close()
 
 	wallStart := time.Now() //diffvet:allow walltime — WallSeconds measures real elapsed time for the run report
+	// Setup runs at trace time 0: the initial plan's role assignments
+	// must leave every worker available when the replay starts, not
+	// loading until a setup-long offset has passed in trace seconds.
 	clock := NewClock(cfg.Timescale)
+	clock.Hold()
 	rng := stats.NewRNG(cfg.Seed)
 
 	discLat := 0.0
@@ -331,18 +335,9 @@ func Run(cfg HarnessConfig) (*Result, error) {
 			// the current membership supplies the replacement pin.
 			wCfg.Redial = wCfg.RePin
 			if cfg.Steal {
-				// Work stealing offers every other member's conn, own
-				// pin included (the worker skips its current conn).
-				wCfg.Steal = func() []LBConn {
-					ms := frontend.Members()
-					conns := make([]LBConn, 0, len(ms))
-					for j, m := range ms {
-						if j != id%len(ms) {
-							conns = append(conns, frontend.MemberConn(m))
-						}
-					}
-					return conns
-				}
+				// Work stealing offers every other member's conn, from
+				// a list rebuilt only when the ring epoch moves.
+				wCfg.Steal = (&stealList{fe: frontend, id: id}).lookup
 			}
 		}
 		ws := NewWorkerServer(wCfg)
@@ -404,8 +399,8 @@ func Run(cfg HarnessConfig) (*Result, error) {
 		realFeats[i] = cfg.Space.RealImage(q)
 	}
 
-	// Setup is done (servers up, initial plan applied): rewind trace
-	// time so setup cost does not eat into the replay.
+	// Setup is done (servers up, initial plan applied at trace time
+	// 0): start trace time so setup cost does not eat into the replay.
 	clock.Restart()
 
 	// Reshard driver: apply the scheduled membership changes at their

@@ -154,35 +154,6 @@ func ReleaseMessage(v interface{}) {
 	}
 }
 
-// zeroWireMessage fully zeroes a pooled request before a decode whose
-// codec merges into dirty targets (JSON leaves absent fields alone).
-// The binary decoder overwrites every field, so it skips this and
-// keeps the dirty capacity for reuse.
-func zeroWireMessage(v interface{}) {
-	switch m := v.(type) {
-	case *QueryMsg:
-		*m = QueryMsg{}
-	case *QueryResponse:
-		*m = QueryResponse{}
-	case *SubmitRequest:
-		*m = SubmitRequest{}
-	case *PullRequest:
-		*m = PullRequest{}
-	case *PullResponse:
-		*m = PullResponse{}
-	case *CompleteRequest:
-		*m = CompleteRequest{}
-	case *ResultsRequest:
-		*m = ResultsRequest{}
-	case *ResultsResponse:
-		*m = ResultsResponse{}
-	case *ConfigureLBRequest:
-		*m = ConfigureLBRequest{}
-	case *ConfigureWorkerRequest:
-		*m = ConfigureWorkerRequest{}
-	}
-}
-
 // queueItemPool recycles the scratch slices Pull uses to dequeue
 // batches, so the hot pull path never allocates for the dequeue.
 var queueItemPool = sync.Pool{

@@ -469,6 +469,39 @@ func (s *ShardedLB) MemberConn(m int) LBConn {
 	return s.retired[m]
 }
 
+// stealList is one worker's cached list of the conns it may steal
+// from: every current ring member's conn, in ascending member order,
+// except the member the worker is pinned to (member index id mod N —
+// the harness's striping). The list is rebuilt only when the ring
+// epoch moves, so the lookup an empty pull makes is one atomic load.
+// A stealList belongs to a single worker loop goroutine, and the slice
+// lookup returns stays valid until its next call.
+type stealList struct {
+	fe    *ShardedLB
+	id    int
+	built bool
+	epoch int
+	conns []LBConn
+}
+
+// lookup returns the steal targets for the frontend's current epoch.
+func (l *stealList) lookup() []LBConn {
+	if l.built && int(l.fe.curEpoch.Load()) == l.epoch {
+		return l.conns
+	}
+	l.fe.ringMu.RLock()
+	defer l.fe.ringMu.RUnlock()
+	cur := l.fe.cur()
+	l.conns = make([]LBConn, 0, len(cur.conns))
+	for j, c := range cur.conns {
+		if j != l.id%len(cur.conns) {
+			l.conns = append(l.conns, c)
+		}
+	}
+	l.built, l.epoch = true, cur.epoch
+	return l.conns
+}
+
 // Close stops the result pumps and retired-shard sweepers. In-flight
 // pump polls are cancelled; callers drain all expected results before
 // closing, exactly as they would before tearing down a single
@@ -620,34 +653,49 @@ func (s *ShardedLB) SubmitBatch(ctx context.Context, req SubmitRequest) error {
 		}
 		return err
 	}
-	// The fan-out scratch (per-shard groups and error slots) is pooled:
-	// the goroutines all join before return, and errors.Join copies the
-	// non-nil errors, so nothing references the scratch afterwards.
+	// The fan-out scratch (per-shard groups, error slots and the join)
+	// is pooled: the goroutines all join before return, and errors.Join
+	// copies the non-nil errors, so nothing references the scratch
+	// afterwards.
 	sc := getSubmitScratch(n)
 	defer putSubmitScratch(sc)
-	groups, errs := sc.groups, sc.errs
+	last := -1
 	for _, q := range req.Queries {
 		sh := s.shardFor(cur, q.ID)
-		groups[sh] = append(groups[sh], q)
+		sc.groups[sh] = append(sc.groups[sh], q)
+		last = max(last, sh)
 	}
 	s.trackBatch(cur.epoch, req.Queries)
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
+	// Every group but the last flies on its own goroutine; the last is
+	// sent inline, so a batch that lands on a single shard — the usual
+	// case for the small batches a live trace submits — starts no
+	// goroutine and allocates nothing.
+	for i := 0; i < last; i++ {
+		if len(sc.groups[i]) > 0 {
+			sc.wg.Add(1)
+			go func(i int) {
+				defer sc.wg.Done()
+				s.submitGroup(ctx, cur, i, req.Pool, sc)
+			}(i)
 		}
-		wg.Add(1)
-		go func(i int, g []QueryMsg) {
-			defer wg.Done()
-			errs[i] = cur.conns[i].SubmitBatch(ctx, SubmitRequest{Queries: g, Pool: req.Pool})
-			s.recordDispatch(cur.members[i], errs[i])
-			if errs[i] != nil {
-				s.untrackBatch(cur.epoch, g)
-			}
-		}(i, g)
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	if last >= 0 {
+		s.submitGroup(ctx, cur, last, req.Pool, sc)
+	}
+	sc.wg.Wait()
+	return errors.Join(sc.errs...)
+}
+
+// submitGroup sends shard i's group of a fanned-out SubmitBatch and
+// records its outcome in the scratch's error slot.
+func (s *ShardedLB) submitGroup(ctx context.Context, cur *epochRing, i int, pool string, sc *submitScratch) {
+	g := sc.groups[i]
+	err := cur.conns[i].SubmitBatch(ctx, SubmitRequest{Queries: g, Pool: pool})
+	s.recordDispatch(cur.members[i], err)
+	if err != nil {
+		s.untrackBatch(cur.epoch, g)
+	}
+	sc.errs[i] = err
 }
 
 // trackBatch tags each query with its dispatch epoch BEFORE the
@@ -753,14 +801,16 @@ func (s *ShardedLB) collapseQuiescedLocked() {
 }
 
 // submitScratch recycles SubmitBatch's fan-out state — the per-shard
-// query groups (inner slice capacity included) and the error slots —
-// so a steady stream of batches does not allocate per call. The
-// grouped queries are value copies of the caller's, and every shard
-// dispatch joins before the scratch is returned, so recycling cannot
-// alias a batch still in flight.
+// query groups (inner slice capacity included), the error slots and
+// the WaitGroup that joins the dispatches — so a steady stream of
+// batches does not allocate per call. The grouped queries are value
+// copies of the caller's, and every shard dispatch joins before the
+// scratch is returned, so recycling cannot alias a batch still in
+// flight.
 type submitScratch struct {
 	groups [][]QueryMsg
 	errs   []error
+	wg     sync.WaitGroup
 }
 
 var submitScratchPool = sync.Pool{New: func() interface{} { return new(submitScratch) }}

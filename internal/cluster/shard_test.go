@@ -177,7 +177,7 @@ func TestShardedLBAssignmentDeterminism(t *testing.T) {
 	}
 
 	mkInproc := func() Transport { return localTransport{} }
-	mkTCP := func() Transport { return newTCPTransport(CodecBinary) }
+	mkTCP := func() Transport { return newTCPTransport() }
 	first := assign(mkInproc)
 	if len(first) != len(ids) {
 		t.Fatalf("first run assigned %d of %d", len(first), len(ids))
@@ -590,5 +590,116 @@ func TestSplitShardAddrs(t *testing.T) {
 	}
 	if _, err := DialShardedLB("tcp", " , ", CodecBinary, NewClock(1), 0); err == nil {
 		t.Error("DialShardedLB accepted an empty shard list")
+	}
+}
+
+// TestStealListPerEpoch pins the list a worker's empty pulls steal
+// from: it holds every current member's conn but the worker's own pin
+// (member index id mod N), in member order; within one ring epoch a
+// lookup allocates nothing and returns the same list; a reshard
+// rebuilds it.
+func TestStealListPerEpoch(t *testing.T) {
+	clock := NewClock(1e-5)
+	ctx := context.Background()
+	conns := make([]LBConn, 3)
+	for i := range conns {
+		_, conns[i] = newLocalShard(clock, i)
+	}
+	fe, err := NewShardedLB(ShardedLBConfig{Shards: conns, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+
+	// want lists the members' conns in order, the id's pin left out.
+	want := func(id int) []LBConn {
+		ms := fe.Members()
+		var out []LBConn
+		for j, m := range ms {
+			if j != id%len(ms) {
+				out = append(out, fe.MemberConn(m))
+			}
+		}
+		return out
+	}
+	check := func(l *stealList) []LBConn {
+		t.Helper()
+		got, exp := l.lookup(), want(l.id)
+		if len(got) != len(exp) {
+			t.Fatalf("worker %d at epoch %d: %d steal targets, want %d", l.id, fe.Epoch(), len(got), len(exp))
+		}
+		for i := range exp {
+			if got[i] != exp[i] {
+				t.Fatalf("worker %d at epoch %d: target %d differs", l.id, fe.Epoch(), i)
+			}
+		}
+		return got
+	}
+
+	lists := make([]*stealList, 5)
+	for id := range lists {
+		lists[id] = &stealList{fe: fe, id: id}
+		check(lists[id])
+	}
+	l := lists[1]
+	first := l.lookup()
+	if allocs := testing.AllocsPerRun(100, func() { l.lookup() }); allocs != 0 && !raceEnabled {
+		t.Errorf("steal-list lookup within one epoch allocates %v times", allocs)
+	}
+	if again := l.lookup(); &again[0] != &first[0] {
+		t.Error("steal list rebuilt without a reshard")
+	}
+
+	_, c3 := newLocalShard(clock, 3)
+	if err := fe.AddShard(ctx, 3, c3); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range lists {
+		check(l)
+	}
+	if got := l.lookup(); len(got) != 3 || got[2] != c3 {
+		t.Errorf("after adding member 3, worker 1 steals from %d conns, want the new shard last of 3", len(got))
+	}
+	if err := fe.RemoveShard(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range lists {
+		check(l)
+	}
+}
+
+// TestShardedSubmitSingleGroupAllocFree submits batches whose queries
+// all land on one shard of an inproc 2-shard tier: the frontend sends
+// the group inline, so the call starts no goroutine and allocates
+// nothing. (The shard's queue keeps growing across the runs; its
+// amortized growth is well under one allocation per call.)
+func TestShardedSubmitSingleGroupAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	_, fe := newTestShards(t, 2, 1e-5, 1e9)
+	ctx := context.Background()
+	fe.ringMu.RLock()
+	cur := fe.cur()
+	var batch []QueryMsg
+	for id := 0; len(batch) < 2; id++ {
+		if fe.shardFor(cur, id) == 1 {
+			batch = append(batch, QueryMsg{ID: id})
+		}
+	}
+	fe.ringMu.RUnlock()
+	req := SubmitRequest{Queries: batch}
+	for i := 0; i < 200; i++ {
+		if err := fe.SubmitBatch(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := fe.SubmitBatch(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("single-group SubmitBatch allocates %v times per call", allocs)
 	}
 }

@@ -15,18 +15,22 @@ import (
 )
 
 // This file implements the raw-TCP framed transport: the same wire
-// messages and Codec seam as the HTTP transport, but over persistent
-// TCP connections with length-prefixed frames and multiplexed
-// request/response correlation instead of net/http request plumbing.
+// messages as the HTTP transport, but over persistent TCP connections
+// with length-prefixed frames and multiplexed request/response
+// correlation instead of net/http request plumbing. It speaks only
+// the binary codec, called directly rather than through the Codec
+// interface, so a request passed to a conn method never has to leave
+// the caller's stack.
 //
 // Frame layout (both directions):
 //
 //	uint32 big-endian  body length (header + payload, ≤ maxFrameBody)
 //	byte               frame kind (request, response, error)
 //	byte               method (methodQuery … methodWorkerStats)
-//	byte               codec id (JSON or binary; responses echo it)
+//	byte               codec id (always binary; the server answers any
+//	                   other id with an error frame)
 //	uint64 big-endian  request id (responses echo it)
-//	payload            codec-encoded message, or UTF-8 error text
+//	payload            binary-encoded message, or UTF-8 error text
 //
 // A client writes request frames on one persistent connection and
 // correlates responses by id, so any number of in-flight calls —
@@ -72,36 +76,18 @@ const (
 	methodMax = methodMembership
 )
 
-// Codec ids on the wire.
+// Codec ids on the wire. The JSON id is still a well-formed header
+// byte, so a JSON-codec client gets an error frame naming the problem
+// rather than a dropped connection; only binary frames are served.
 const (
 	codecIDJSON byte = iota + 1
 	codecIDBinary
 	codecIDMax = codecIDBinary
 )
 
-func codecByID(id byte) Codec {
-	if id == codecIDBinary {
-		return CodecBinary
-	}
-	return CodecJSON
-}
-
-func codecID(c Codec) byte {
-	if c != nil && c.Name() == CodecNameBinary {
-		return codecIDBinary
-	}
-	return codecIDJSON
-}
-
 // ErrTransportClosed is returned by calls on a closed TCP conn or
 // transport.
 var ErrTransportClosed = errors.New("cluster: transport closed")
-
-// marshalAppender is the optional codec fast path: encode straight
-// into the frame buffer instead of allocating an intermediate slice.
-type marshalAppender interface {
-	MarshalAppend(b []byte, v interface{}) ([]byte, error)
-}
 
 // framePool recycles frame buffers across reads and writes. All
 // returns go through putFrame, which poisons the buffer first under
@@ -187,23 +173,16 @@ func readFrame(br *bufio.Reader, buf []byte) (frame, []byte, error) {
 
 // appendFrame encodes a whole frame into b (which must be the empty
 // start of a frame buffer): length prefix, header, and either the
-// codec-encoded msg or the error text.
-func appendFrame(b []byte, kind, method, cID byte, id uint64, codec Codec, msg interface{}, errText string) ([]byte, error) {
-	b = append(b, 0, 0, 0, 0, kind, method, cID)
+// binary-encoded msg or the error text.
+func appendFrame(b []byte, kind, method byte, id uint64, msg interface{}, errText string) ([]byte, error) {
+	b = append(b, 0, 0, 0, 0, kind, method, codecIDBinary)
 	b = binary.BigEndian.AppendUint64(b, id)
 	switch {
 	case errText != "":
 		b = append(b, errText...)
 	case msg != nil:
 		var err error
-		if ma, ok := codec.(marshalAppender); ok {
-			b, err = ma.MarshalAppend(b, msg)
-		} else {
-			var data []byte
-			data, err = codec.Marshal(msg)
-			b = append(b, data...)
-		}
-		if err != nil {
+		if b, err = (binaryCodec{}).MarshalAppend(b, msg); err != nil {
 			return b, err
 		}
 	}
@@ -494,45 +473,51 @@ func (s *TCPServer) serveBlocking(ctx context.Context, w *frameWriter, frames <-
 	}
 }
 
+// decodeRequest decodes a request frame's payload into the pooled
+// message its method takes (nil for methods with no payload). Only
+// binary-codec frames are served; any other codec id, an unknown
+// method, or a malformed payload is an error the caller answers with
+// an error frame, keeping the connection open.
+func decodeRequest(svc tcpService, f frame) (interface{}, error) {
+	if f.codec != codecIDBinary {
+		return nil, fmt.Errorf("codec %d not supported: the tcp transport speaks only the binary codec", f.codec)
+	}
+	req, known := svc.newRequest(f.method)
+	if !known {
+		return nil, fmt.Errorf("method %d not supported", f.method)
+	}
+	if req != nil {
+		// The binary decoder overwrites every field, so the pooled
+		// request's dirty capacity is reused as is.
+		if err := (binaryCodec{}).Unmarshal(f.payload, req); err != nil {
+			ReleaseMessage(req)
+			return nil, err
+		}
+	}
+	return req, nil
+}
+
 // dispatch runs one request to completion and writes its response.
 // The frame buffer is recycled as soon as the request is decoded —
 // before serve blocks — and the pooled request/response messages go
 // back to their pools once the response frame is written (handlers
 // must not retain them; see tcpService).
 func (s *TCPServer) dispatch(ctx context.Context, w *frameWriter, f frame, bp *[]byte) {
-	codec := codecByID(f.codec)
-	req, known := s.svc.newRequest(f.method)
-	if !known {
-		putFrame(bp)
-		w.write(frameError, f.method, f.codec, f.id, codec, nil,
-			fmt.Sprintf("method %d not supported", f.method))
+	req, err := decodeRequest(s.svc, f)
+	putFrame(bp)
+	if err != nil {
+		w.write(frameError, f.method, f.id, nil, err.Error())
 		return
 	}
-	if req != nil {
-		if f.codec != codecIDBinary {
-			// JSON merges into dirty targets (absent fields keep their
-			// stale values), so pooled requests must be zeroed for it.
-			// The binary decoder overwrites every field and may reuse
-			// the dirty capacity directly.
-			zeroWireMessage(req)
-		}
-		if err := codec.Unmarshal(f.payload, req); err != nil {
-			putFrame(bp)
-			ReleaseMessage(req)
-			w.write(frameError, f.method, f.codec, f.id, codec, nil, err.Error())
-			return
-		}
-	}
-	putFrame(bp)
 	resp, err := s.svc.serve(ctx, f.method, req)
 	if req != nil {
 		ReleaseMessage(req)
 	}
 	if err != nil {
-		w.write(frameError, f.method, f.codec, f.id, codec, nil, err.Error())
+		w.write(frameError, f.method, f.id, nil, err.Error())
 		return
 	}
-	w.write(frameResponse, f.method, f.codec, f.id, codec, resp, "")
+	w.write(frameResponse, f.method, f.id, resp, "")
 	if resp != nil {
 		ReleaseMessage(resp)
 	}
@@ -560,12 +545,12 @@ type frameWriter struct {
 	err     error
 }
 
-func (w *frameWriter) write(kind, method, cID byte, id uint64, codec Codec, msg interface{}, errText string) {
+func (w *frameWriter) write(kind, method byte, id uint64, msg interface{}, errText string) {
 	bp := getFrame()
-	b, err := appendFrame((*bp)[:0], kind, method, cID, id, codec, msg, errText)
+	b, err := appendFrame((*bp)[:0], kind, method, id, msg, errText)
 	if err != nil {
 		// Encoding failed: report the failure instead of the payload.
-		b, err = appendFrame(b[:0], frameError, method, cID, id, codec, nil, err.Error())
+		b, err = appendFrame(b[:0], frameError, method, id, nil, err.Error())
 	}
 	if err == nil {
 		w.writers.Add(1)
@@ -600,10 +585,8 @@ const tcpDialAttempts = 5
 // tcpClient multiplexes calls over one persistent framed connection,
 // redialing (with backoff) when the connection is lost.
 type tcpClient struct {
-	addr  string
-	codec Codec
-	cID   byte
-	errs  chan<- error // fatal transport errors (nil: unreported)
+	addr string
+	errs chan<- error // fatal transport errors (nil: unreported)
 
 	// closed is atomic so Close takes effect immediately even while
 	// a dial-retry cycle is in flight.
@@ -691,11 +674,8 @@ type tcpResult struct {
 	err     error
 }
 
-func newTCPClient(addr string, codec Codec, errs chan<- error) *tcpClient {
-	if codec == nil {
-		codec = CodecBinary
-	}
-	return &tcpClient{addr: tcpAddr(addr), codec: codec, cID: codecID(codec), errs: errs}
+func newTCPClient(addr string, errs chan<- error) *tcpClient {
+	return &tcpClient{addr: tcpAddr(addr), errs: errs}
 }
 
 // tcpAddr strips an optional tcp:// scheme so flags accept both
@@ -819,6 +799,10 @@ func (c *tcpClient) dial(ctx context.Context) (*tcpConnState, error) {
 
 // call performs one request/response round trip. in may be nil (empty
 // request payload); out may be nil (response payload discarded).
+// Neither is retained past the call: in is encoded into a pooled frame
+// before the call blocks and out is decoded into before it returns,
+// so callers can pass pointers to their own stack variables and the
+// round trip allocates nothing.
 func (c *tcpClient) call(ctx context.Context, method byte, in, out interface{}) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -826,7 +810,7 @@ func (c *tcpClient) call(ctx context.Context, method byte, in, out interface{}) 
 	// Encode the request frame before touching any lock; the request
 	// id is patched in once assigned.
 	bp := getFrame()
-	b, err := appendFrame((*bp)[:0], frameRequest, method, c.cID, 0, c.codec, in, "")
+	b, err := appendFrame((*bp)[:0], frameRequest, method, 0, in, "")
 	if err != nil {
 		*bp = b
 		putFrame(bp)
@@ -891,7 +875,7 @@ func (c *tcpClient) finish(res tcpResult, out interface{}) error {
 	}
 	var err error
 	if out != nil {
-		err = c.codec.Unmarshal(res.payload, out)
+		err = (binaryCodec{}).Unmarshal(res.payload, out)
 	}
 	if res.bp != nil {
 		putFrame(res.bp)
@@ -1002,11 +986,11 @@ func (cs *tcpConnState) readLoop() {
 type tcpLBConn struct{ c *tcpClient }
 
 // NewTCPLBConn connects to a framed-TCP load balancer at addr
-// ("host:port"; a tcp:// prefix is accepted). A nil codec defaults to
-// the binary codec. The connection is persistent and multiplexed;
-// it is established lazily and redialed with backoff after failures.
-func NewTCPLBConn(addr string, codec Codec) LBConn {
-	return tcpLBConn{newTCPClient(addr, codec, nil)}
+// ("host:port"; a tcp:// prefix is accepted). The connection is
+// persistent and multiplexed; it is established lazily and redialed
+// with backoff after failures.
+func NewTCPLBConn(addr string) LBConn {
+	return tcpLBConn{newTCPClient(addr, nil)}
 }
 
 func (c tcpLBConn) Submit(ctx context.Context, q QueryMsg) (QueryResponse, error) {
@@ -1033,25 +1017,14 @@ func (c tcpLBConn) Pull(ctx context.Context, req PullRequest) (PullResponse, err
 
 // PollResultsInto and PullInto decode straight into the caller's
 // response struct, reusing its slice capacity across calls (the
-// ReusingLBConn capability). Only the binary codec overwrites every
-// field on decode; the JSON codec merges into dirty targets, so it
-// falls back to a fresh decode.
+// ReusingLBConn capability): the binary decoder overwrites every
+// field.
 
 func (c tcpLBConn) PollResultsInto(ctx context.Context, req ResultsRequest, resp *ResultsResponse) error {
-	if c.c.cID != codecIDBinary {
-		out, err := c.PollResults(ctx, req)
-		*resp = out
-		return err
-	}
 	return c.c.call(ctx, methodResults, &req, resp)
 }
 
 func (c tcpLBConn) PullInto(ctx context.Context, req PullRequest, resp *PullResponse) error {
-	if c.c.cID != codecIDBinary {
-		out, err := c.Pull(ctx, req)
-		*resp = out
-		return err
-	}
 	return c.c.call(ctx, methodPull, &req, resp)
 }
 
@@ -1078,8 +1051,8 @@ func (c tcpLBConn) Membership(ctx context.Context) (MembershipResponse, error) {
 type tcpWorkerConn struct{ c *tcpClient }
 
 // NewTCPWorkerConn connects to a worker's framed-TCP control plane.
-func NewTCPWorkerConn(addr string, codec Codec) WorkerConn {
-	return tcpWorkerConn{newTCPClient(addr, codec, nil)}
+func NewTCPWorkerConn(addr string) WorkerConn {
+	return tcpWorkerConn{newTCPClient(addr, nil)}
 }
 
 func (c tcpWorkerConn) Configure(ctx context.Context, req ConfigureWorkerRequest) error {
@@ -1097,16 +1070,15 @@ func (c tcpWorkerConn) Stats(ctx context.Context) (WorkerStats, error) {
 // tcpTransport serves components on loopback TCP listeners and
 // connects them with persistent multiplexed framed connections.
 type tcpTransport struct {
-	codec Codec
-	errs  chan error
+	errs chan error
 
 	mu    sync.Mutex
 	srvs  []*TCPServer
 	conns []*tcpClient
 }
 
-func newTCPTransport(codec Codec) *tcpTransport {
-	return &tcpTransport{codec: codec, errs: make(chan error, 8)}
+func newTCPTransport() *tcpTransport {
+	return &tcpTransport{errs: make(chan error, 8)}
 }
 
 func (t *tcpTransport) Name() string { return TransportTCP }
@@ -1118,7 +1090,7 @@ func (t *tcpTransport) ServeLB(s *LBServer) (LBConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := newTCPClient(srv.Addr(), t.codec, t.errs)
+	cl := newTCPClient(srv.Addr(), t.errs)
 	t.mu.Lock()
 	t.srvs = append(t.srvs, srv)
 	t.conns = append(t.conns, cl)
@@ -1131,7 +1103,7 @@ func (t *tcpTransport) ServeWorker(s *WorkerServer) (WorkerConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := newTCPClient(srv.Addr(), t.codec, t.errs)
+	cl := newTCPClient(srv.Addr(), t.errs)
 	t.mu.Lock()
 	t.srvs = append(t.srvs, srv)
 	t.conns = append(t.conns, cl)

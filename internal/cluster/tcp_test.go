@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -17,33 +20,31 @@ import (
 // must decode to the same header and payload.
 func TestTCPFrameRoundTrip(t *testing.T) {
 	msg := &PullRequest{WorkerID: 3, Role: "light", Max: 8, Wait: 0.25}
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		b, err := appendFrame(nil, frameRequest, methodPull, codecID(codec), 42, codec, msg, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, _, err := readFrame(bufio.NewReader(bytes.NewReader(b)), nil)
-		if err != nil {
-			t.Fatalf("%s: %v", codec.Name(), err)
-		}
-		if f.kind != frameRequest || f.method != methodPull || f.codec != codecID(codec) || f.id != 42 {
-			t.Errorf("%s: header = %+v", codec.Name(), f)
-		}
-		var out PullRequest
-		if err := codec.Unmarshal(f.payload, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out != *msg {
-			t.Errorf("%s: payload = %+v, want %+v", codec.Name(), out, *msg)
-		}
-	}
-
-	// Error frames carry the error text as their payload.
-	b, err := appendFrame(nil, frameError, methodPull, codecIDBinary, 7, CodecBinary, nil, "boom")
+	b, err := appendFrame(nil, frameRequest, methodPull, 42, msg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, _, err := readFrame(bufio.NewReader(bytes.NewReader(b)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.kind != frameRequest || f.method != methodPull || f.codec != codecIDBinary || f.id != 42 {
+		t.Errorf("header = %+v", f)
+	}
+	var out PullRequest
+	if err := CodecBinary.Unmarshal(f.payload, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != *msg {
+		t.Errorf("payload = %+v, want %+v", out, *msg)
+	}
+
+	// Error frames carry the error text as their payload.
+	b, err = appendFrame(nil, frameError, methodPull, 7, nil, "boom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _, err = readFrame(bufio.NewReader(bytes.NewReader(b)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +53,81 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// jsonFrame builds a frame the way a JSON-codec client framed one
+// before the transport went binary-only: the JSON codec id in the
+// header and an encoding/json payload.
+func jsonFrame(tb testing.TB, kind, method byte, id uint64, msg interface{}) []byte {
+	payload, err := json.Marshal(msg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := appendFrame(nil, kind, method, id, nil, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b[6] = codecIDJSON
+	b = append(b, payload...)
+	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
+	return b
+}
+
+// TestTCPServerRejectsJSONCodecFrames sends a JSON-codec request frame
+// to a live server: it must come back as an error frame naming the
+// codec, and the same connection must go on serving binary frames.
+func TestTCPServerRejectsJSONCodecFrames(t *testing.T) {
+	lb := newTestLB(0.001)
+	srv, err := ServeLBTCP("127.0.0.1:0", lb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+
+	if _, err := conn.Write(jsonFrame(t, frameRequest, methodSubmit, 5, &SubmitRequest{Queries: []QueryMsg{{ID: 1}}})); err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := readFrame(br, nil)
+	if err != nil {
+		t.Fatalf("no answer to a JSON frame: %v", err)
+	}
+	if f.kind != frameError || f.id != 5 || !strings.Contains(string(f.payload), "binary codec") {
+		t.Fatalf("JSON frame answered with kind %d id %d payload %q, want an error frame for id 5 naming the codec", f.kind, f.id, f.payload)
+	}
+
+	req, err := appendFrame(nil, frameRequest, methodLBStats, 6, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	f, _, err = readFrame(br, nil)
+	if err != nil {
+		t.Fatalf("connection dropped after the rejected frame: %v", err)
+	}
+	if f.kind != frameResponse || f.id != 6 {
+		t.Fatalf("binary frame answered with kind %d id %d payload %q", f.kind, f.id, f.payload)
+	}
+	var stats LBStats
+	if err := CodecBinary.Unmarshal(f.payload, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.ArrivalsSinceTick != 0 || stats.LightQueueLen != 0 {
+		t.Fatalf("rejected submit was admitted: %+v", stats)
+	}
+}
+
 // TestTCPFrameRejectsCorruptHeaders exercises the decode guards:
 // oversized and undersized declared lengths, invalid kind, method,
 // and codec bytes must all fail without panicking.
 func TestTCPFrameRejectsCorruptHeaders(t *testing.T) {
-	valid, err := appendFrame(nil, frameRequest, methodPull, codecIDBinary, 1, CodecBinary, &PullRequest{}, "")
+	valid, err := appendFrame(nil, frameRequest, methodPull, 1, &PullRequest{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +160,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn := NewTCPLBConn(srv.Addr(), CodecBinary)
+	conn := NewTCPLBConn(srv.Addr())
 	defer conn.(tcpLBConn).c.Close()
 
 	const calls = 64
@@ -132,7 +203,7 @@ func TestTCPClientRedialsAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	conn := NewTCPLBConn(addr, CodecBinary)
+	conn := NewTCPLBConn(addr)
 	defer conn.(tcpLBConn).c.Close()
 	if _, err := conn.Stats(context.Background()); err != nil {
 		t.Fatal(err)
@@ -170,7 +241,7 @@ func TestHarnessReportsTransportFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := newTCPTransport(CodecBinary)
+	tp := newTCPTransport()
 
 	resCh := make(chan *Result, 1)
 	errCh := make(chan error, 1)

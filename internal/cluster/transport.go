@@ -152,7 +152,7 @@ func NewTransport(name string) (Transport, error) {
 	case TransportInproc:
 		return localTransport{}, nil
 	case TransportTCP:
-		return newTCPTransport(CodecBinary), nil
+		return newTCPTransport(), nil
 	}
 	return nil, fmt.Errorf("cluster: unknown transport %q (have json, binary, inproc, tcp)", name)
 }
@@ -160,7 +160,9 @@ func NewTransport(name string) (Transport, error) {
 // DialLB connects to a standalone load balancer process. transport is
 // "http" (or empty) for the HTTP wire path — addr is a base URL like
 // "http://host:8100" — or "tcp" for the framed TCP path, with addr a
-// "host:port". The cmd binaries use it behind their -transport flags.
+// "host:port". codec selects the HTTP wire codec; the tcp transport
+// speaks only the binary codec and ignores it. The cmd binaries use it
+// behind their -transport and -codec flags.
 func DialLB(transport, addr string, codec Codec) (LBConn, error) {
 	switch transport {
 	case "", "http":
@@ -169,13 +171,13 @@ func DialLB(transport, addr string, codec Codec) (LBConn, error) {
 		if err := checkTCPAddr(addr); err != nil {
 			return nil, err
 		}
-		return NewTCPLBConn(addr, codec), nil
+		return NewTCPLBConn(addr), nil
 	}
 	return nil, fmt.Errorf("cluster: unknown dial transport %q (have http, tcp)", transport)
 }
 
 // DialWorker connects to a standalone worker's control plane; see
-// DialLB for the transport names.
+// DialLB for the transport names and the codec.
 func DialWorker(transport, addr string, codec Codec) (WorkerConn, error) {
 	switch transport {
 	case "", "http":
@@ -184,7 +186,7 @@ func DialWorker(transport, addr string, codec Codec) (WorkerConn, error) {
 		if err := checkTCPAddr(addr); err != nil {
 			return nil, err
 		}
-		return NewTCPWorkerConn(addr, codec), nil
+		return NewTCPWorkerConn(addr), nil
 	}
 	return nil, fmt.Errorf("cluster: unknown dial transport %q (have http, tcp)", transport)
 }

@@ -14,7 +14,8 @@
 //   - a Transport / LBConn / WorkerConn abstraction over how encoded
 //     messages move: persistent HTTP connections (with either codec),
 //     raw framed TCP (persistent multiplexed connections carrying
-//     length-prefixed frames — no HTTP machinery on the hot path), or
+//     length-prefixed binary-codec frames — no HTTP machinery and no
+//     per-call allocation on the hot path), or
 //     an in-process fast path that dispatches direct calls with zero
 //     serialization so the harness can validate at the highest
 //     timescale factors.
@@ -334,6 +335,7 @@ func getJSON(client *http.Client, url string, out interface{}) error {
 type Clock struct {
 	mu        sync.Mutex
 	start     time.Time
+	held      bool    // Now reads 0 until the next Restart
 	timescale float64 // wall seconds per trace second
 }
 
@@ -349,17 +351,32 @@ func NewClock(timescale float64) *Clock {
 // Now returns the current trace time in seconds.
 func (c *Clock) Now() float64 {
 	c.mu.Lock()
-	start := c.start
+	start, held := c.start, c.held
 	c.mu.Unlock()
+	if held {
+		return 0
+	}
 	return time.Since(start).Seconds() / c.timescale //diffvet:allow walltime — trace time is derived from wall elapsed since the anchor; this is the boundary itself
 }
 
-// Restart rewinds trace time to zero. The harness calls this after
-// component setup so that setup cost (server startup, the initial
-// MILP solve) does not consume trace time.
+// Hold pins trace time at zero until the next Restart. Sleeps still
+// take their wall time. The harness holds the clock through component
+// setup, so everything setup does — the initial plan's role
+// assignments included — happens at trace time 0 rather than at a
+// setup-long offset that the replay would then have to wait out.
+func (c *Clock) Hold() {
+	c.mu.Lock()
+	c.held = true
+	c.mu.Unlock()
+}
+
+// Restart rewinds trace time to zero and releases a Hold. The harness
+// calls this after component setup so that setup cost (server
+// startup, the initial MILP solve) does not consume trace time.
 func (c *Clock) Restart() {
 	c.mu.Lock()
 	c.start = time.Now() //diffvet:allow walltime — Restart re-anchors trace zero to the wall clock; this is the boundary itself
+	c.held = false
 	c.mu.Unlock()
 }
 

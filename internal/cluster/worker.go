@@ -67,7 +67,10 @@ type WorkerConfig struct {
 	// fractional mismatch; stealing soaks up that remainder so a
 	// thin shard's spare worker-seconds serve the tier instead of
 	// idling. A stolen batch completes to the shard it was pulled
-	// from (that shard holds the queries' registrations).
+	// from (that shard holds the queries' registrations). Steal is
+	// called only from the worker's loop goroutine, and the worker
+	// reads the returned slice only until its next call, so the
+	// callback may hand back a cached list.
 	Steal func() []LBConn
 }
 
